@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ._backend import kernel
-from .errors import Infeasible, InvalidPathSet, TooLarge
+from .errors import Infeasible, InvalidPathSet, PreconditionViolated, TooLarge
 from .graph import Graph, canon, reachable_from
 
 
@@ -142,10 +142,18 @@ def _run(
     """Kernel call with 1-based <-> 0-based translation.
 
     Returns (flow, paths, reach_in, reach_out) in 1-based terms (masks
-    stay 0-based bytearrays indexed by v-1).
+    stay 0-based bytearrays indexed by v-1). Raises PreconditionViolated
+    when an id lies outside 1..n: no bad id may reach the kernel, whose
+    compiled build does not check its bounds.
     """
-    flat, off = _csr(g)
     n = g.n
+    named = [("X", x), ("Y", y), ("forced", forced), ("active", active or ())]
+    named.extend(("warm path", p) for p in warm)
+    for name, vs in named:
+        if vs and (min(vs) < 1 or max(vs) > n):
+            bad = canon(v for v in vs if not (1 <= v <= n))
+            raise PreconditionViolated(f"{name} holds {bad}, outside 1..{n}")
+    flat, off = _csr(g)
     if active is None:
         active_mask = [1] * n
         xs = sorted(v - 1 for v in x)

@@ -28,7 +28,10 @@ class ParseStats:
 
 def _decode(data) -> list[str]:
     if isinstance(data, bytes):
-        data = data.decode("ascii")
+        try:
+            data = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"non-ASCII byte at offset {exc.start}") from None
     return data.splitlines()
 
 

@@ -9,12 +9,25 @@ The recursion keeps a boundary set W (at most 3k-2 vertices, padded up
 with the lowest free ids). Each step splits the current region with a
 weakly balanced separation of W of size at most k: the bag is W∪S and
 every component recurses with its share of W plus its interface into S.
+The separation is searched over the 3^|W| ways to send each W-vertex
+left, into the separator, or right, in a fixed base-3 Gray-code order;
+a rejection exhausts that search, which is what bounds the decomposer
+by 3^{O(k)} per step (Reed 1992; Bodlaender et al., "A c^k n
+5-approximation algorithm for treewidth", SICOMP 2016). The order is
+walked as a depth-first search over the most significant digit first,
+which visits the assignments in exactly the counting order, and it cuts
+every subtree whose prefix already puts more than k vertices in the
+separator, more than 2|W|/3 on one side, or an edge between the sides.
+Those tests can only fail more as the prefix grows, so the search finds
+the same first separation as trying every assignment in turn.
+
 Periodically, when the region is still large, a split by volume is
 attempted first: representatives of DFS subtrees are partitioned into
-left/right/separator, all leftmost separators of each placement are
-enumerated, and the first one splitting the volume evenly enough is
-used. Volume splits are opportunistic; rejection rests solely on the
-exhaustion of the weakly-balanced search.
+left/right/separator by the same search (cut only on the separator
+size), all leftmost separators of each placement are enumerated, and
+the first one splitting the volume evenly enough is used. Volume splits
+are opportunistic; rejection rests solely on the exhaustion of the
+weakly-balanced search.
 
 Directed input graphs are decomposed on their underlying undirected
 graph.
@@ -209,17 +222,71 @@ def compute_representatives(g: Graph, t: int, within: frozenset | None = None) -
     return RepSet(tuple(reps), t)
 
 
-def _gray3(m: int):
-    """Base-3 Gray-code sequence of assignment tuples (fixed, reproducible)."""
-    for num in range(3**m):
-        digits = []
-        x = num
-        for _ in range(m):
-            digits.append(x % 3)
-            x //= 3
-        yield tuple(
-            (digits[i] - (digits[i + 1] if i + 1 < m else 0)) % 3 for i in range(m)
-        )
+def _placements(verts: list, k: int, side_cap: float | None = None, g: Graph | None = None):
+    """Surviving placements (X, S, Y) of ``verts``, in base-3 Gray-code order.
+
+    Placement number ``num`` has base-3 digits d_0..d_{m-1} (d_m = 0) and
+    sends verts[i] left (0), into the separator (1) or right (2) as
+    t_i = (d_i - d_{i+1}) mod 3. Counting ``num`` upward is a depth-first
+    search that fixes the most significant digit first and tries 0, 1, 2:
+    the digits d_{m-1..i} fix t_{m-1..i}, so verts[m-1] is placed first
+    and each subtree is one prefix. A subtree is cut as soon as its prefix
+    puts more than ``k`` vertices in S, more than ``side_cap`` on one side,
+    or (when ``g`` is given) an arc of ``g`` from X to Y. Each test only
+    tightens as the prefix grows, so every placement cut off would have
+    failed it, and the survivors come in the order a full count gives.
+    """
+    if k < 0:
+        return  # even the empty separator is over budget
+    m = len(verts)
+    side_cap = m if side_cap is None else side_cap
+    cap = (side_cap, k, side_cap)
+    out_mask = [0] * m  # positions j with an arc verts[i] -> verts[j]
+    in_mask = [0] * m  # positions j with an arc verts[j] -> verts[i]
+    if g is not None:
+        pos = {v: i for i, v in enumerate(verts)}
+        for i, v in enumerate(verts):
+            for u in g.adj[v]:
+                j = pos.get(u)
+                if j is not None:
+                    out_mask[i] |= 1 << j
+                    in_mask[j] |= 1 << i
+    count = [0, 0, 0]
+    mask = [0, 0, 0]
+    side = [-1] * m  # current placement of each position, -1 while open
+    digit = [0] * (m + 1)  # d_i of the current prefix; digit[m] stays 0
+    nxt = [0] * m  # next digit to try at each position
+    i = m - 1
+    while i < m:
+        if i < 0:
+            yield (
+                frozenset(verts[j] for j in range(m) if side[j] == 0),
+                frozenset(verts[j] for j in range(m) if side[j] == 1),
+                frozenset(verts[j] for j in range(m) if side[j] == 2),
+            )
+            i = 0
+            continue
+        t = side[i]
+        if t >= 0:
+            count[t] -= 1
+            mask[t] ^= 1 << i
+            side[i] = -1
+        d = nxt[i]
+        if d == 3:
+            nxt[i] = 0
+            i += 1
+            continue
+        nxt[i] = d + 1
+        t = (d - digit[i + 1]) % 3
+        if count[t] + 1 > cap[t]:
+            continue
+        if (t == 0 and out_mask[i] & mask[2]) or (t == 2 and in_mask[i] & mask[0]):
+            continue  # an X->Y arc can never be cut by a set avoiding both
+        count[t] += 1
+        mask[t] |= 1 << i
+        side[i] = t
+        digit[i] = d
+        i -= 1
 
 
 def is_weak_separation(g: Graph, w, x, s, y, within: frozenset | None = None) -> bool:
@@ -246,20 +313,17 @@ def _iter_weak_separations(g: Graph, w: frozenset, k: int, within: frozenset | N
 
     Each assignment sends a W-vertex left, into the separator, or right;
     the separator is completed by a minimum cut that avoids both sides.
+    The assignments come from the pruned depth-first search of
+    ``_placements``, which skips every assignment with more than k
+    W-vertices in S, a side over 2|W|/3, or an X->Y arc, and yields the
+    rest in the order of a plain base-3 count; so the first separation
+    found, and the exhaustion behind a rejection, are those of trying all
+    3^|W| assignments in turn.
     """
     w_list = sorted(w)
-    m = len(w_list)
-    bound = 2 * m / 3
-    for assign in _gray3(m):
-        xs = frozenset(w_list[i] for i in range(m) if assign[i] == 0)
-        ss = frozenset(w_list[i] for i in range(m) if assign[i] == 1)
-        ys = frozenset(w_list[i] for i in range(m) if assign[i] == 2)
-        if not xs or not ys or len(ss) > k:
+    for xs, ss, ys in _placements(w_list, k, 2 * len(w_list) / 3, g):
+        if not xs or not ys:
             continue
-        if len(xs) > bound or len(ys) > bound:
-            continue
-        if any(nb in ys for u in xs for nb in g.adj[u]):
-            continue  # an X->Y edge can never be cut by a set avoiding both
         region = (within if within is not None else frozenset(g.vertices)) - ss
         try:
             cut, _ = leftmost_cut(g, xs, ys, k - len(ss), forced=xs | ys, active=region)
@@ -278,7 +342,7 @@ def weakly_balanced_separation(g: Graph, w, k: int, within: frozenset | None = N
     return next(_iter_weak_separations(g, w, k, within), None)
 
 
-def _group_components(g: Graph, comps: list, left_terms: frozenset, right_terms: frozenset):
+def _group_components(comps: list, right_terms: frozenset):
     """Volumes of the left/right component groups; untouched components go left."""
     vol_left = 0
     vol_right = 0
@@ -297,12 +361,8 @@ def _split_by_volume(g: Graph, region: frozenset, k: int, epsilon: float):
     t = max(1, math.ceil((0.5 - epsilon) * n / k))
     reps = compute_representatives(g, t, within=region)
     rep_list = sorted(reps.vertices())
-    m = len(rep_list)
-    for assign in _gray3(m):
-        left = frozenset(rep_list[i] for i in range(m) if assign[i] == 0)
-        sep = frozenset(rep_list[i] for i in range(m) if assign[i] == 1)
-        right = frozenset(rep_list[i] for i in range(m) if assign[i] == 2)
-        if not left or not right or len(sep) > k:
+    for left, sep, right in _placements(rep_list, k):
+        if not left or not right:
             continue
         sub_region = region - sep
         budget = k - len(sep)
@@ -317,7 +377,7 @@ def _split_by_volume(g: Graph, region: frozenset, k: int, epsilon: float):
         for cut in cut_sets:
             s = sep | cut
             comps = connected_components(g, within=region - s)
-            vol_left, vol_right = _group_components(g, comps, left - s, right - s)
+            vol_left, vol_right = _group_components(comps, right - s)
             small, large = sorted((vol_left, vol_right))
             if small >= epsilon * n / 2 and large <= (1 - epsilon / 2) * n:
                 return s, tuple(comps)

@@ -9,10 +9,11 @@ from sepkit import (
     Leftness,
     augment_paths,
     compare_leftness,
+    enumerate_leftmost,
     leftmost_min_separator,
     max_disjoint_paths,
 )
-from sepkit.errors import Infeasible, InvalidPathSet, TooLarge
+from sepkit.errors import Infeasible, InvalidPathSet, PreconditionViolated, TooLarge
 from sepkit.graph import is_minimal_separator, is_separator
 from sepkit.oracle import brute_minimal_separators, bt_leaves, fixtures
 
@@ -128,3 +129,19 @@ def test_menger_and_leftness_on_corpus(small_corpus):
             warm = max_disjoint_paths(g, x, y, j) if j else DisjointPathSet()
             again, _ = leftmost_min_separator(g, x, y, inst.k, warm=warm)
             assert again.members == sep.members
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: leftmost_min_separator(P3, {0}, {3}, 2),
+        lambda: leftmost_min_separator(P3, {9}, {3}, 2),
+        lambda: leftmost_min_separator(P3, {1}, {3}, 2, CutConstraints(forced_out=frozenset({4}))),
+        lambda: enumerate_leftmost(P3, {7}, {3}, 2),
+        lambda: enumerate_leftmost(P3, {1}, {3}, 2, within=frozenset({1, 2, 3, 4})),
+        lambda: max_disjoint_paths(P3, {1}, {-1}, 2),
+    ],
+)
+def test_out_of_range_ids_rejected(call):
+    with pytest.raises(PreconditionViolated):
+        call()

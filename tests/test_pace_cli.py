@@ -42,6 +42,10 @@ class TestParseGraph:
         with pytest.raises(ParseError):
             parse_graph(b"p tw 3 one\n")
 
+    def test_non_ascii_byte(self):
+        with pytest.raises(ParseError):
+            parse_graph(b"p tw 3 2\n1 2\n2 \xff\n")
+
     def test_directed(self):
         g, _ = parse_graph(b"p tw 2 1\n2 1\n", directed=True)
         assert g.adj[2] == (1,) and g.adj[1] == ()
@@ -72,6 +76,10 @@ class TestTdFormat:
         data = emit_td(td, g)
         td2 = parse_td(data, g)
         assert emit_td(td2, g) == data
+
+    def test_non_ascii_byte(self):
+        with pytest.raises(ParseError):
+            parse_td(b"s td 1 1 1\nb 1 \xff\n")
 
     def test_bag_vertex_out_of_range(self):
         with pytest.raises(ParseError):
@@ -202,6 +210,28 @@ class TestCli:
         bad = tmp_path / "bad.gr"
         bad.write_bytes(b"p tw 3 1\n")
         assert cli(["minsep", "--graph", str(bad), "--source", "1", "--target", "3", "-k", "1"]) == 1
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["minsep", "--source", "0", "--target", "3", "-k", "2"],
+            ["minsep", "--source", "9", "--target", "3", "-k", "2"],
+            ["enum", "--leftmost", "--source", "7", "--target", "3", "-k", "2"],
+        ],
+    )
+    def test_out_of_range_id_exit_1(self, tmp_path, capsys, argv):
+        p = tmp_path / "p3.gr"
+        p.write_bytes(b"p tw 3 2\n1 2\n2 3\n")
+        assert cli(argv + ["--graph", str(p)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "outside 1..3" in captured.err and "Traceback" not in captured.err
+
+    def test_non_ascii_graph_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "bad.gr"
+        bad.write_bytes(b"p tw 3 2\n1 2\n2 \xff\n")
+        assert cli(["tw", "--graph", str(bad), "-k", "2"]) == 1
         assert "error" in capsys.readouterr().err
 
     def test_validate_invalid_exit_1(self, tmp_path, capsys):

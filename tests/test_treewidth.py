@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepkit import Graph, Rejection, TreeDecomposition, decompose, td_width, to_nice, validate_td
 from sepkit.errors import EmptyDecomposition, InvalidBudget, InvalidInput, PreconditionViolated
 from sepkit.oracle import Lcg, bt_leaves, exact_treewidth, fixtures
 from sepkit.treewidth import (
+    _placements,
     compute_representatives,
     is_balanced_w_separator,
     is_strong_centroid,
@@ -297,3 +302,64 @@ class TestToNice:
             to_nice(td_of({}, []))
         with pytest.raises(InvalidInput):
             to_nice(td_of({1: {1}}, []), root=9)
+
+
+def _gray3_reference(m):
+    """The plain base-3 count the pruned search must reproduce."""
+    for num in range(3**m):
+        digits = []
+        x = num
+        for _ in range(m):
+            digits.append(x % 3)
+            x //= 3
+        yield tuple((digits[i] - (digits[i + 1] if i + 1 < m else 0)) % 3 for i in range(m))
+
+
+def _filtered_reference(triples, k, g=None):
+    """Every placement, then the after-the-fact filter: |S| <= k, and with
+    a graph also both sides <= 2m/3 and no X->Y arc."""
+    out = []
+    for xs, ss, ys in triples:
+        if len(ss) > k:
+            continue
+        if g is not None:
+            bound = 2 * (len(xs) + len(ss) + len(ys)) / 3
+            if len(xs) > bound or len(ys) > bound:
+                continue
+            if any(nb in ys for u in xs for nb in g.adj[u]):
+                continue
+        out.append((xs, ss, ys))
+    return out
+
+
+class TestPlacements:
+    def test_matches_full_count_then_filter(self):
+        rng = random.Random(2024)
+        for m in range(11):
+            n = m + 3
+            verts = sorted(rng.sample(range(1, n + 1), m))
+            triples = [
+                tuple(frozenset(verts[i] for i in range(m) if a[i] == t) for t in range(3))
+                for a in _gray3_reference(m)
+            ]
+            pairs = [(rng.randint(1, n), rng.randint(1, n)) for _ in range(2 * n)]
+            graphs = [Graph(n, pairs), Graph(n, pairs, directed=True)]
+            assert list(_placements(verts, -1)) == []  # even S = {} is over budget
+            for k in sorted({0, 1, m // 3, m}):
+                assert list(_placements(verts, k)) == _filtered_reference(triples, k), (m, k)
+                for g in graphs:
+                    got = list(_placements(verts, k, 2 * m / 3, g))
+                    assert got == _filtered_reference(triples, k, g), (m, k, g.directed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 10_000), st.integers(2, 5), st.data())
+def test_decompose_agrees_with_exact_treewidth(n, seed, k, data):
+    m = data.draw(st.integers(0, n * (n - 1) // 2))
+    g = fixtures("GNM", n, m, seed)
+    res = decompose(g, k)
+    if isinstance(res, Rejection):
+        assert exact_treewidth(g) > k - 1
+    else:
+        assert validate_td(g, res) == []
+        assert td_width(res) <= 5 * (k - 1)
