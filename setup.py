@@ -1,26 +1,24 @@
-import sys
+from setuptools import Extension, setup
 
-from setuptools import setup
-
-# The compiled flow kernel is optional: if Cython or a C compiler is
-# missing, the package installs without it and sepkit falls back to the
-# pure-Python kernel at import time.
-ext_modules = []
+# The compiled flow kernel is optional: if the C compiler is missing or
+# fails, the package installs without it and sepkit falls back to the
+# pure-Python kernel at import time. With Cython installed the C source
+# is first regenerated from _flowcore.pyx when the .pyx is newer; without
+# it the shipped _flowcore.c is built as it is.
 try:
     from Cython.Build import cythonize
-    from setuptools import Extension
+except ImportError:
+    pass
+else:
+    cythonize(["src/sepkit/_flowcore.pyx"], compiler_directives={"language_level": "3"})
 
-    ext_modules = cythonize(
-        [
-            Extension(
-                "sepkit._flowcore",
-                ["src/sepkit/_flowcore.pyx"],
-                extra_compile_args=["-O2"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except Exception as exc:  # pragma: no cover
-    print(f"sepkit: building without compiled kernel ({exc})", file=sys.stderr)
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "sepkit._flowcore",
+            ["src/sepkit/_flowcore.c"],
+            extra_compile_args=["-O2"],
+            optional=True,
+        )
+    ]
+)

@@ -9,12 +9,12 @@ PACE-format I/O (``pace``). The flow inner loop runs on a compiled
 kernel when built, with a pure-Python fallback selected at import.
 """
 
-from ._backend import backend_name
 from .flow import (
     CutConstraints,
     DisjointPathSet,
     Separator,
     augment_paths,
+    backend_name,
     leftmost_min_separator,
     max_disjoint_paths,
 )

@@ -13,9 +13,8 @@ import sys
 from pathlib import Path
 
 from . import pace
-from ._backend import backend_name
 from .errors import SepkitError, TooLarge
-from .flow import CutConstraints, leftmost_min_separator
+from .flow import CutConstraints, backend_name, leftmost_min_separator
 from .graph import canon
 from .leftmost import count_bounds, enumerate_important, enumerate_leftmost
 from .oracle import (
@@ -77,9 +76,7 @@ def _cmd_minsep(args) -> int:
     y = _terminals(args.target, args.graph)
     forced = _terminals(args.forced_out, args.graph) if args.forced_out else frozenset()
     try:
-        sep, paths = leftmost_min_separator(
-            g, x, y, args.k, CutConstraints(forced_out=forced, budget=args.k)
-        )
+        sep, paths = leftmost_min_separator(g, x, y, args.k, CutConstraints(forced_out=forced))
     except TooLarge as exc:
         _emit({"status": "too_large", "k": args.k, "flow_witness": exc.witness.flow_value})
         return 0

@@ -15,39 +15,39 @@ augmentation.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ._backend import kernel
 from .errors import Infeasible, InvalidPathSet, PreconditionViolated, TooLarge
 from .graph import Graph, canon, reachable_from
 
+# The kernel is the compiled twin of _flowpure when the build produced it.
+# Both give bit-identical results; only the speed differs.
+try:
+    from . import _flowcore as kernel
 
-class Provenance(enum.Enum):
-    FLOW_CUT = "FlowCut"
-    ENUMERATED = "Enumerated"
-    ORACLE = "Oracle"
+    _BACKEND = "compiled"
+except ImportError:
+    from . import _flowpure as kernel
+
+    _BACKEND = "pure"
+
+
+def backend_name() -> str:
+    """The kernel chosen at import, "compiled" or "pure" (read from the
+    choice, not from ``kernel``, which a caller may wrap)."""
+    return _BACKEND
 
 
 @dataclass(frozen=True)
 class Separator:
-    """A vertex separator; equality and hashing ignore provenance."""
+    """A vertex separator."""
 
     members: frozenset
-    provenance: Provenance = Provenance.FLOW_CUT
 
     @property
     def size(self) -> int:
         return len(self.members)
-
-    def __eq__(self, other):
-        if isinstance(other, Separator):
-            return self.members == other.members
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.members)
 
     def __repr__(self):
         return f"Separator({canon(self.members)})"
@@ -58,11 +58,9 @@ class CutConstraints:
     """Side constraints for cut searches.
 
     forced_out: vertices that must not appear in the cut.
-    budget: optional bookkeeping copy of k (operations take k explicitly).
     """
 
     forced_out: frozenset = frozenset()
-    budget: int | None = None
 
 
 @dataclass(frozen=True)
@@ -130,6 +128,14 @@ def _validate_paths(
         raise InvalidPathSet(f"paths share vertices {canon(clashes)}")
 
 
+def check_ids(n: int, named: Iterable[tuple[str, Iterable[int]]]) -> None:
+    """Raise PreconditionViolated when a (name, ids) set holds an id outside 1..n."""
+    for name, vs in named:
+        if vs and (min(vs) < 1 or max(vs) > n):
+            bad = canon(v for v in vs if not (1 <= v <= n))
+            raise PreconditionViolated(f"{name} holds {bad}, outside 1..{n}")
+
+
 def _run(
     g: Graph,
     x: frozenset,
@@ -149,10 +155,7 @@ def _run(
     n = g.n
     named = [("X", x), ("Y", y), ("forced", forced), ("active", active or ())]
     named.extend(("warm path", p) for p in warm)
-    for name, vs in named:
-        if vs and (min(vs) < 1 or max(vs) > n):
-            bad = canon(v for v in vs if not (1 <= v <= n))
-            raise PreconditionViolated(f"{name} holds {bad}, outside 1..{n}")
+    check_ids(n, named)
     flat, off = _csr(g)
     if active is None:
         active_mask = [1] * n
@@ -246,7 +249,7 @@ def leftmost_min_separator(
     if warm_paths:
         _validate_paths(g, x, y, warm_paths, shareable=forced)
     cut, paths = leftmost_cut(g, x, y, k, forced=forced, warm=warm_paths)
-    return Separator(cut, Provenance.FLOW_CUT), DisjointPathSet.of(paths)
+    return Separator(cut), DisjointPathSet.of(paths)
 
 
 def truncate_at_cut(paths: Sequence[Sequence[int]], cut: frozenset) -> tuple:

@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import TooLarge
-from .flow import Provenance, Separator, left_region, leftmost_cut, truncate_at_cut
+from .flow import Separator, check_ids, left_region, leftmost_cut, truncate_at_cut
 from .graph import Graph, canon, reachable_from
 
 
@@ -153,9 +153,11 @@ def enumerate_leftmost(g: Graph, x, y, k: int, within: frozenset | None = None) 
 
     Returns an empty result flagged ``too_large`` when every admissible
     separator exceeds k (including k <= 0 and |X∩Y| > k). ``within``
-    restricts the search to an induced subgraph.
+    restricts the search to an induced subgraph. Raises
+    PreconditionViolated when an id lies outside 1..n.
     """
     x, y = frozenset(x), frozenset(y)
+    check_ids(g.n, [("X", x), ("Y", y), ("within", within or ())])
     if k <= 0 or len(x & y) > k:
         return EnumerationResult((), k, True, 0, 0, 0)
     run = _branch_enumerate(g, x, y, k, within)
@@ -165,9 +167,7 @@ def enumerate_leftmost(g: Graph, x, y, k: int, within: frozenset | None = None) 
     final = _keep_leftmost(g, x, emitted, within)
     assert len(final) <= catalan(k - 1), "leftmost count exceeds C_{k-1}"
     assert explored <= node_count_bound(k), "branch tree exceeds bracket-tree size"
-    seps = tuple(
-        Separator(s, Provenance.ENUMERATED) for s in sorted(final, key=lambda s: canon(s))
-    )
+    seps = tuple(Separator(s) for s in sorted(final, key=lambda s: canon(s)))
     return EnumerationResult(seps, k, False, explored, invocations, len(emitted))
 
 
@@ -175,6 +175,7 @@ def enumerate_important(g: Graph, x, y, k: int, within: frozenset | None = None)
     """All important (X, Y, <=k)-separators: the union of leftmost families
     over budgets 1..k."""
     x, y = frozenset(x), frozenset(y)
+    check_ids(g.n, [("X", x), ("Y", y), ("within", within or ())])
     union: set = set()
     explored = 0
     invocations = 0
@@ -190,7 +191,5 @@ def enumerate_important(g: Graph, x, y, k: int, within: frozenset | None = None)
             union.update(s.members for s in res.separators)
     if k >= 1:
         assert len(union) <= count_bounds(k)[1], "important count exceeds sum C_i"
-    seps = tuple(
-        Separator(s, Provenance.ENUMERATED) for s in sorted(union, key=lambda s: canon(s))
-    )
+    seps = tuple(Separator(s) for s in sorted(union, key=lambda s: canon(s)))
     return EnumerationResult(seps, k, too_large, explored, invocations, emitted_raw)

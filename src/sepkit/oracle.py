@@ -9,14 +9,12 @@ Hard size guards keep the oracles honest; they never silently truncate.
 from __future__ import annotations
 
 import json
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
 from .errors import InvalidInput, TooBig
-from .flow import Provenance, Separator
+from .flow import Separator
 from .graph import Graph, is_minimal_separator, is_separator, left_part, reachable_from
 
 BRUTE_N_LIMIT = 16
@@ -60,7 +58,7 @@ def brute_minimal_separators(g: Graph, x, y, k: int) -> set:
         for comb in combinations(verts, size):
             s = frozenset(comb)
             if is_separator(g, x, y, s) and is_minimal_separator(g, x, y, s):
-                out.add(Separator(s, Provenance.ORACLE))
+                out.add(Separator(s))
     return out
 
 
@@ -303,21 +301,3 @@ def read_manifest(path: str) -> list[CorpusInstance]:
         for rec in payload["instances"]
     ]
 
-
-def thread_cap() -> int:
-    """Worker cap for corpus evaluation, from SEPKIT_THREADS (default 1)."""
-    raw = os.environ.get("SEPKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Order-preserving map honoring the SEPKIT_THREADS cap."""
-    items = list(items)
-    cap = min(thread_cap(), max(1, len(items)))
-    if cap == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        return list(pool.map(fn, items))

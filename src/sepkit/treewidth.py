@@ -75,7 +75,6 @@ class RepSet:
     """DFS-subtree representatives with their pruned-subtree weights."""
 
     reps: tuple
-    threshold: int
 
     def vertices(self) -> list[int]:
         return [v for v, _ in self.reps]
@@ -105,11 +104,11 @@ def validate_td(g: Graph, td: TreeDecomposition) -> list[Violation]:
         if a not in node_set or b not in node_set:
             out.append(Violation("structure", f"edge ({a},{b}) references unknown node"))
             return out
+    nbrs = td.neighbors_map()
     if nodes:
         if len(td.tree_edges) != len(nodes) - 1:
             out.append(Violation("structure", "edge count is not |nodes|-1"))
             return out
-        nbrs = td.neighbors_map()
         seen = {nodes[0]}
         stack = [nodes[0]]
         while stack:
@@ -121,34 +120,36 @@ def validate_td(g: Graph, td: TreeDecomposition) -> list[Violation]:
         if len(seen) != len(nodes):
             out.append(Violation("structure", "tree edges do not connect all nodes"))
             return out
+    holding: list[list] = [[] for _ in range(g.n + 1)]  # vertex -> its nodes, in node order
     for x in nodes:
-        bad = [v for v in td.bags[x] if not (1 <= v <= g.n)]
+        bad = []
+        for v in td.bags[x]:
+            if 1 <= v <= g.n:
+                holding[v].append(x)
+            else:
+                bad.append(v)
         if bad:
             out.append(Violation("bag-range", f"bag {x} contains non-vertices {canon(bad)}"))
-    covered: set[int] = set()
-    for x in nodes:
-        covered.update(td.bags[x])
     for v in g.vertices:
-        if v not in covered:
+        if not holding[v]:
             out.append(Violation("vertex-coverage", f"vertex {v} in no bag"))
     for u, v in g.edges():
-        if not any(u in td.bags[x] and v in td.bags[x] for x in nodes):
+        if not any(v in td.bags[x] for x in holding[u]):
             out.append(Violation("edge-coverage", f"edge ({u},{v}) in no bag"))
-    nbrs = td.neighbors_map() if nodes else {}
     for v in g.vertices:
-        holding = [x for x in nodes if v in td.bags[x]]
-        if len(holding) <= 1:
+        held = holding[v]
+        if len(held) <= 1:
             continue
-        hold_set = set(holding)
-        seen = {holding[0]}
-        stack = [holding[0]]
+        hold_set = set(held)
+        seen = {held[0]}
+        stack = [held[0]]
         while stack:
             u = stack.pop()
             for w in nbrs[u]:
                 if w in hold_set and w not in seen:
                     seen.add(w)
                     stack.append(w)
-        if len(seen) != len(holding):
+        if len(seen) != len(held):
             out.append(Violation("running-intersection", f"bags holding {v} are disconnected"))
     return out
 
@@ -219,7 +220,7 @@ def compute_representatives(g: Graph, t: int, within: frozenset | None = None) -
             reps.append((v, size[v]))
         else:
             size[parent[v]] += size[v]
-    return RepSet(tuple(reps), t)
+    return RepSet(tuple(reps))
 
 
 def _placements(verts: list, k: int, side_cap: float | None = None, g: Graph | None = None):
@@ -438,7 +439,10 @@ def decompose(g: Graph, k: int, *, epsilon: float | None = None, volume_splits: 
     volume_period = math.ceil(math.log2(k)) + 1
     builder = _TdBuilder()
 
-    def rec(region: frozenset, w: frozenset, depth: int):
+    open_splits: list = []  # (W, S, components, depth, child nodes so far), innermost last
+
+    def enter(region: frozenset, w: frozenset, depth: int):
+        """A leaf's node, or a Rejection, or None once the region's split is open."""
         if len(region) <= leafcap:
             return builder.add(region, [])
         pad = sorted(region - w)
@@ -460,19 +464,35 @@ def decompose(g: Graph, k: int, *, epsilon: float | None = None, volume_splits: 
                     break
             if split is None:
                 return Rejection(witness_w=w, budget=k)
-        s, comps = split
-        children = []
-        for c in comps:
-            iface = _interface(g, s, c)
-            sub = rec(c | iface, (w & c) | iface, depth + 1)
-            if isinstance(sub, Rejection):
-                return sub
-            children.append(sub)
-        return builder.add(w | s, children)
+        open_splits.append((w, *split, depth, []))
+        return None
+
+    def rec(region: frozenset):
+        """Decompose one connected region: its root node, or a Rejection.
+
+        ``open_splits`` stands in for the call stack, so deep trees need
+        no deep recursion. Components are entered in order and a node is
+        numbered after all its children, as in a recursive post-order.
+        """
+        done = enter(region, frozenset(), 0)
+        while not isinstance(done, Rejection):
+            if done is not None:
+                if not open_splits:
+                    return done
+                open_splits[-1][4].append(done)
+            w, s, comps, depth, children = open_splits[-1]
+            if len(children) < len(comps):
+                c = comps[len(children)]
+                iface = _interface(g, s, c)
+                done = enter(c | iface, (w & c) | iface, depth + 1)
+            else:
+                open_splits.pop()
+                done = builder.add(w | s, children)
+        return done
 
     roots = []
     for comp in connected_components(g):
-        res = rec(comp, frozenset(), 0)
+        res = rec(comp)
         if isinstance(res, Rejection):
             return res
         roots.append(res)
@@ -508,13 +528,8 @@ def to_nice(td: TreeDecomposition, root: int | None = None) -> TreeDecomposition
             cur = builder.add(bag, [cur])
         return cur
 
-    def build(x: int, parent: int | None) -> int:
+    def finish(x: int, tops: list) -> int:
         bag = td.bags[x]
-        kids = [c for c in nbrs[x] if c != parent]
-        tops = []
-        for c in kids:
-            sub = build(c, x)
-            tops.append(chain_to(sub, td.bags[c], bag))
         if not tops:
             leaf = builder.add(frozenset(), [])
             return chain_to(leaf, frozenset(), bag)
@@ -523,8 +538,24 @@ def to_nice(td: TreeDecomposition, root: int | None = None) -> TreeDecomposition
             acc = builder.add(bag, [acc, other])
         return acc
 
-    top = build(root, None)
-    return builder.build(root=top)
+    # Depth-first over the tree with a stack of (node, children, their tops
+    # so far) in place of recursion, so a long path needs no deep calls.
+    seen = {root}
+    stack = [(root, nbrs[root], [])]
+    while True:
+        x, kids, tops = stack[-1]
+        if len(tops) < len(kids):
+            c = kids[len(tops)]
+            if c in seen:
+                raise InvalidInput("tree_edges do not form a tree")
+            seen.add(c)
+            stack.append((c, [d for d in nbrs[c] if d != x], []))
+            continue
+        stack.pop()
+        sub = finish(x, tops)
+        if not stack:
+            return builder.build(root=sub)
+        stack[-1][2].append(chain_to(sub, td.bags[x], td.bags[stack[-1][0]]))
 
 
 def nice_node_types(td: TreeDecomposition) -> dict[int, str]:

@@ -35,7 +35,6 @@ from sepkit.oracle import (
     filter_leftmost,
     fixtures,
     named_separator_corpus,
-    parallel_map,
     random_separator_corpus,
     read_manifest,
     write_manifest,
@@ -67,7 +66,7 @@ def enum_results(sep_corpus):
         x, y, k = frozenset(inst.x), frozenset(inst.y), inst.k
         return inst, g, enumerate_leftmost(g, x, y, k), enumerate_important(g, x, y, k)
 
-    return parallel_map(run, sep_corpus)  # worker count capped by SEPKIT_THREADS
+    return [run(inst) for inst in sep_corpus]
 
 
 def test_criterion_1_catalan_tightness():

@@ -1,12 +1,21 @@
 from __future__ import annotations
 
+import hashlib
+from pathlib import Path
+
 import pytest
 
-from sepkit import _backend, _flowpure
+from sepkit import _flowpure, backend_name
 from sepkit.flow import _csr
 from sepkit.oracle import named_separator_corpus, random_separator_corpus
 
-compiled = _backend.available_backends().get("compiled")
+try:
+    from sepkit import _flowcore as compiled
+except ImportError:
+    compiled = None
+
+# SHA-256 of the _flowcore.pyx that the shipped _flowcore.c was generated from.
+PYX_SHA256 = "bd7ad1afe79436715098d9eed3d342843286ef47a072caae364f0f71a3d99128"
 
 
 def _run_all(kernel, inst, trial):
@@ -52,5 +61,13 @@ def test_warm_start_identical():
 
 
 def test_backend_selection_reports():
-    assert _backend.backend_name() in ("pure", "compiled")
-    assert "pure" in _backend.available_backends()
+    assert backend_name() == ("pure" if compiled is None else "compiled")
+
+
+def test_shipped_c_matches_pyx():
+    pyx = Path(__file__).resolve().parents[1] / "src" / "sepkit" / "_flowcore.pyx"
+    digest = hashlib.sha256(pyx.read_bytes()).hexdigest()
+    assert digest == PYX_SHA256, (
+        "_flowcore.pyx changed: regenerate _flowcore.c from it with Cython "
+        f"and set PYX_SHA256 to {digest}"
+    )

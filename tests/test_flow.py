@@ -9,6 +9,7 @@ from sepkit import (
     Leftness,
     augment_paths,
     compare_leftness,
+    enumerate_important,
     enumerate_leftmost,
     leftmost_min_separator,
     max_disjoint_paths,
@@ -140,6 +141,10 @@ def test_menger_and_leftness_on_corpus(small_corpus):
         lambda: enumerate_leftmost(P3, {7}, {3}, 2),
         lambda: enumerate_leftmost(P3, {1}, {3}, 2, within=frozenset({1, 2, 3, 4})),
         lambda: max_disjoint_paths(P3, {1}, {-1}, 2),
+        lambda: enumerate_leftmost(P3, {7}, {3}, 0),
+        lambda: enumerate_leftmost(P3, {0, 9}, {0, 9}, 1),
+        lambda: enumerate_important(P3, {7}, {3}, 0),
+        lambda: enumerate_important(P3, {0, 9}, {0, 9}, 1),
     ],
 )
 def test_out_of_range_ids_rejected(call):

@@ -151,18 +151,6 @@ class TestFixtures:
         assert rng.below(1 << 40) == (first >> 33) % (1 << 40)
 
 
-def test_thread_cap_and_parallel_map(monkeypatch):
-    from sepkit.oracle import parallel_map, thread_cap
-
-    monkeypatch.setenv("SEPKIT_THREADS", "3")
-    assert thread_cap() == 3
-    assert parallel_map(lambda v: v * v, range(7)) == [v * v for v in range(7)]
-    monkeypatch.setenv("SEPKIT_THREADS", "junk")
-    assert thread_cap() == 1
-    monkeypatch.delenv("SEPKIT_THREADS")
-    assert parallel_map(lambda v: -v, [2, 1]) == [-2, -1]
-
-
 def test_manifest_round_trip(tmp_path):
     insts = random_separator_corpus(5, seed=3) + named_separator_corpus()[:2]
     path = tmp_path / "corpus.json"

@@ -218,6 +218,8 @@ class TestCli:
             ["minsep", "--source", "0", "--target", "3", "-k", "2"],
             ["minsep", "--source", "9", "--target", "3", "-k", "2"],
             ["enum", "--leftmost", "--source", "7", "--target", "3", "-k", "2"],
+            ["enum", "--leftmost", "--source", "7", "--target", "3", "-k", "0"],
+            ["enum", "--important", "--source", "7", "--target", "3", "-k", "0"],
         ],
     )
     def test_out_of_range_id_exit_1(self, tmp_path, capsys, argv):

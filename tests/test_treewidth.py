@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import random
+import sys
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,20 @@ from sepkit.treewidth import (
 
 P3 = fixtures("PATH", 3)
 BT3 = fixtures("BT", 3)
+
+
+@contextmanager
+def shallow_stack(headroom=80):
+    """Cap the recursion limit ``headroom`` frames above the current depth."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + headroom)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def td_of(bags, edges, root=None):
@@ -59,6 +75,21 @@ class TestValidateTd:
     def test_not_a_tree(self):
         td = td_of({1: {1, 2}, 2: {2, 3}}, [])
         assert any(p.kind == "structure" for p in validate_td(P3, td))
+
+    def test_every_violation_in_order(self):
+        td = td_of({1: {0, 1, 3, 9}, 2: {2}, 3: {1, 2, 6}, 4: {3}}, [(1, 2), (2, 3), (2, 4)])
+        got = [(p.kind, p.detail) for p in validate_td(fixtures("PATH", 5), td)]
+        assert got == [
+            ("bag-range", "bag 1 contains non-vertices [0, 9]"),
+            ("bag-range", "bag 3 contains non-vertices [6]"),
+            ("vertex-coverage", "vertex 4 in no bag"),
+            ("vertex-coverage", "vertex 5 in no bag"),
+            ("edge-coverage", "edge (2,3) in no bag"),
+            ("edge-coverage", "edge (3,4) in no bag"),
+            ("edge-coverage", "edge (4,5) in no bag"),
+            ("running-intersection", "bags holding 1 are disconnected"),
+            ("running-intersection", "bags holding 3 are disconnected"),
+        ]
 
 
 class TestTdWidth:
@@ -248,6 +279,14 @@ class TestDecompose:
         td = decompose(g, 2)
         assert validate_td(Graph(4, g.edges()), td) == []
 
+    def test_deep_path_needs_no_recursion(self):
+        g = fixtures("PATH", 300)
+        with shallow_stack():
+            td = decompose(g, 3)
+        assert isinstance(td, TreeDecomposition)
+        assert validate_td(g, td) == []
+        assert td_width(td) <= 10
+
     def test_soundness_on_corpus(self):
         for g in _corpus():
             exact = exact_treewidth(g)
@@ -297,11 +336,23 @@ class TestToNice:
         assert validate_td(g, nice) == []
         assert "join" in nice_node_types(nice).values()
 
+    def test_long_path_needs_no_recursion(self):
+        n = 1500
+        g = fixtures("PATH", n + 1)
+        td = td_of({i: {i, i + 1} for i in range(1, n + 1)}, [(i, i + 1) for i in range(1, n)], root=1)
+        with shallow_stack():
+            nice = to_nice(td)
+        assert td_width(nice) == 2
+        assert validate_td(g, nice) == []
+        assert set(nice_node_types(nice).values()) == {"leaf", "forget", "introduce"}
+
     def test_invalid_input(self):
         with pytest.raises(InvalidInput):
             to_nice(td_of({}, []))
         with pytest.raises(InvalidInput):
             to_nice(td_of({1: {1}}, []), root=9)
+        with pytest.raises(InvalidInput):  # a cycle plus a loose node: n-1 edges, no tree
+            to_nice(td_of({i: {i} for i in range(1, 5)}, [(1, 2), (2, 3), (3, 1)]))
 
 
 def _gray3_reference(m):
