@@ -136,6 +136,18 @@ def check_ids(n: int, named: Iterable[tuple[str, Iterable[int]]]) -> None:
             raise PreconditionViolated(f"{name} holds {bad}, outside 1..{n}")
 
 
+def _check_warm(x: frozenset, y: frozenset, active: frozenset | None, warm) -> None:
+    """Raise PreconditionViolated unless every warm path runs from X to Y
+    inside the region: the kernel indexes its source, sink and vertex
+    arcs by these ids and does not check them."""
+    for p in warm:
+        if not p or p[0] not in x or p[-1] not in y:
+            raise PreconditionViolated(f"warm path {list(p)} does not run from X to Y")
+        if active is not None and not active.issuperset(p):
+            outside = canon(v for v in p if v not in active)
+            raise PreconditionViolated(f"warm path {list(p)} leaves the region at {outside}")
+
+
 def _run(
     g: Graph,
     x: frozenset,
@@ -147,39 +159,72 @@ def _run(
 ):
     """Kernel call with 1-based <-> 0-based translation.
 
-    Returns (flow, paths, reach_in, reach_out) in 1-based terms (masks
-    stay 0-based bytearrays indexed by v-1). Raises PreconditionViolated
-    when an id lies outside 1..n: no bad id may reach the kernel, whose
-    compiled build does not check its bounds.
+    Returns (flow, paths, cut) in 1-based terms. When flow < cap, ``cut``
+    is the leftmost minimum cut: the vertices whose in-node the final
+    residual network reaches and whose out-node it does not. When the
+    packing reached cap, the residual network marks no cut and ``cut``
+    is None.
+
+    A region of at most half the graph goes to the kernel as its induced
+    subgraph, relabelled 0..r-1 in ascending vertex order, so the call
+    costs time in the size of the region. The relabelling keeps the
+    order of every arc list, so the augmenting search, the paths and the
+    cut are those of the whole-graph call. Larger regions, and
+    active=None, go in as the whole graph's CSR with masks (the
+    relabelling pass would cost about what it saves).
+
+    Raises PreconditionViolated when an id lies outside 1..n or a warm
+    path does not run from X to Y inside the region: no bad id may reach
+    the kernel, whose compiled build does not check its bounds. (Public
+    callers check warm paths in full with ``_validate_paths``.)
     """
     n = g.n
     named = [("X", x), ("Y", y), ("forced", forced), ("active", active or ())]
     named.extend(("warm path", p) for p in warm)
     check_ids(n, named)
-    flat, off = _csr(g)
-    if active is None:
-        active_mask = [1] * n
-        xs = sorted(v - 1 for v in x)
-        ys = sorted(v - 1 for v in y)
+    _check_warm(x, y, active, warm)
+    if active is not None and 2 * len(active) <= n:
+        verts = sorted(active)
+        local = {v: i for i, v in enumerate(verts)}
+        flat: list[int] = []
+        off = [0]
+        for v in verts:
+            flat.extend([local[w] for w in g.adj[v] if w in local])
+            off.append(len(flat))
+        r = len(verts)
+        active_mask = [1] * r
+        forced_mask = [0] * r
+        for v in forced:
+            if v in local:
+                forced_mask[local[v]] = 1
+        xs = sorted(local[v] for v in x if v in local)
+        ys = sorted(local[v] for v in y if v in local)
+        warm0 = [[local[v] for v in p] for p in warm]
     else:
-        active_mask = [0] * n
-        for v in active:
-            active_mask[v - 1] = 1
-        xs = sorted(v - 1 for v in x if v in active)
-        ys = sorted(v - 1 for v in y if v in active)
-    forced_mask = [0] * n
-    for v in forced:
-        forced_mask[v - 1] = 1
-    warm0 = [[v - 1 for v in p] for p in warm]
+        verts = g.vertices
+        r = n
+        flat, off = _csr(g)
+        if active is None:
+            active_mask = [1] * n
+            xs = sorted(v - 1 for v in x)
+            ys = sorted(v - 1 for v in y)
+        else:
+            active_mask = [0] * n
+            for v in active:
+                active_mask[v - 1] = 1
+            xs = sorted(v - 1 for v in x if v in active)
+            ys = sorted(v - 1 for v in y if v in active)
+        forced_mask = [0] * n
+        for v in forced:
+            forced_mask[v - 1] = 1
+        warm0 = [[v - 1 for v in p] for p in warm]
     flow, paths0, reach_in, reach_out = kernel.solve(
-        n, flat, off, xs, ys, forced_mask, active_mask, cap, warm0
+        r, flat, off, xs, ys, forced_mask, active_mask, cap, warm0
     )
-    paths = tuple(tuple(v + 1 for v in p) for p in paths0)
-    return flow, paths, reach_in, reach_out
-
-
-def _cut_from_masks(n: int, reach_in, reach_out) -> frozenset:
-    return frozenset(v + 1 for v in range(n) if reach_in[v] and not reach_out[v])
+    paths = tuple(tuple([verts[v] for v in p]) for p in paths0)
+    if flow >= cap:
+        return flow, paths, None
+    return flow, paths, frozenset([v for v, i, o in zip(verts, reach_in, reach_out) if i and not o])
 
 
 def leftmost_cut(
@@ -196,17 +241,17 @@ def leftmost_cut(
     Returns (cut, paths). Raises TooLarge when the minimum admissible
     cut exceeds k, with the k+1 packing attached as witness.
     """
-    flow, paths, reach_in, reach_out = _run(g, x, y, k + 1, forced, active, warm)
+    flow, paths, cut = _run(g, x, y, k + 1, forced, active, warm)
     if flow > k:
         raise TooLarge(DisjointPathSet.of(paths))
-    return _cut_from_masks(g.n, reach_in, reach_out), paths
+    return cut, paths
 
 
 def augment_paths(g: Graph, x: Iterable[int], y: Iterable[int], p: DisjointPathSet) -> DisjointPathSet | None:
     """One augmentation step: a packing of size |p|+1, or None if maximal."""
     x, y = frozenset(x), frozenset(y)
     _validate_paths(g, x, y, p.paths)
-    flow, paths, _, _ = _run(g, x, y, cap=p.flow_value + 1, warm=p.paths)
+    flow, paths, _ = _run(g, x, y, cap=p.flow_value + 1, warm=p.paths)
     if flow == p.flow_value + 1:
         return DisjointPathSet.of(paths)
     return None
@@ -222,7 +267,7 @@ def max_disjoint_paths(
     """Augment until no walk remains or the packing reaches ``cap``."""
     x, y = frozenset(x), frozenset(y)
     forced = constraints.forced_out if constraints else frozenset()
-    flow, paths, _, _ = _run(g, x, y, cap=cap, forced=forced)
+    flow, paths, _ = _run(g, x, y, cap=cap, forced=forced)
     return DisjointPathSet.of(paths)
 
 

@@ -15,6 +15,11 @@ from .errors import ParseError, ValidationError
 from .graph import Graph, canon
 from .treewidth import TreeDecomposition, validate_td
 
+# The compiled kernel numbers the split nodes 0..2n+1 with C ints. A
+# header declaring more vertices is refused before Graph allocates
+# adjacency for each of them (about 0.5 KB a vertex).
+MAX_VERTICES = (1 << 30) - 2
+
 
 @dataclass(frozen=True)
 class ParseStats:
@@ -61,6 +66,8 @@ def parse_graph(data, directed: bool = False) -> tuple[Graph, ParseStats]:
                 raise ParseError(f"non-integer header fields in {line!r}", lineno)
             if n < 0 or m < 0:
                 raise ParseError("negative header fields", lineno)
+            if n > MAX_VERTICES:
+                raise ParseError(f"{n} vertices exceed the limit of {MAX_VERTICES}", lineno)
             continue
         if n is None:
             raise ParseError("edge line before header", lineno)

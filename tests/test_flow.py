@@ -1,7 +1,13 @@
 from __future__ import annotations
 
-import pytest
+import types
+from contextlib import contextmanager
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sepkit import flow
 from sepkit import (
     CutConstraints,
     DisjointPathSet,
@@ -15,6 +21,7 @@ from sepkit import (
     max_disjoint_paths,
 )
 from sepkit.errors import Infeasible, InvalidPathSet, PreconditionViolated, TooLarge
+from sepkit.flow import leftmost_cut, left_region, truncate_at_cut
 from sepkit.graph import is_minimal_separator, is_separator
 from sepkit.oracle import brute_minimal_separators, bt_leaves, fixtures
 
@@ -22,6 +29,7 @@ P3 = fixtures("PATH", 3)
 BT3 = fixtures("BT", 3)
 STAR4 = fixtures("STAR4")
 DIAMOND = fixtures("DIAMOND")
+P6 = fixtures("PATH", 6)
 
 
 class TestAugmentPaths:
@@ -145,8 +153,126 @@ def test_menger_and_leftness_on_corpus(small_corpus):
         lambda: enumerate_leftmost(P3, {0, 9}, {0, 9}, 1),
         lambda: enumerate_important(P3, {7}, {3}, 0),
         lambda: enumerate_important(P3, {0, 9}, {0, 9}, 1),
+        # warm paths that leave the region (whole-graph and relabelled
+        # kernel input), start outside X, end outside Y, or are empty
+        lambda: leftmost_cut(P6, {1}, {6}, 2, active=frozenset({1, 2, 4, 5, 6}), warm=[(1, 2, 3, 4, 5, 6)]),
+        lambda: leftmost_cut(P6, {1}, {6}, 2, active=frozenset({1, 2, 6}), warm=[(1, 2, 3, 4, 5, 6)]),
+        lambda: leftmost_cut(P6, {1}, {6}, 2, warm=[(2, 3, 4, 5, 6)]),
+        lambda: leftmost_cut(P6, {1}, {6}, 2, warm=[(1, 2, 3)]),
+        lambda: leftmost_cut(P6, {1}, {6}, 2, warm=[()]),
     ],
 )
 def test_out_of_range_ids_rejected(call):
     with pytest.raises(PreconditionViolated):
         call()
+
+
+# -- region-local kernel input ------------------------------------------------
+
+
+def _whole_graph_run(g, x, y, cap, forced=frozenset(), active=None, warm=()):
+    """Reference for ``flow._run``: the kernel gets the whole graph's CSR
+    with n-long active and forced masks, whatever the size of the region,
+    and the cut (None once the packing reaches cap) is read off the
+    n-long reachability masks."""
+    n = g.n
+    flat, off = flow._csr(g)
+    active_mask = [1 if active is None or v in active else 0 for v in g.vertices]
+    forced_mask = [1 if v in forced else 0 for v in g.vertices]
+    xs = sorted(v - 1 for v in x if active_mask[v - 1])
+    ys = sorted(v - 1 for v in y if active_mask[v - 1])
+    warm0 = [[v - 1 for v in p] for p in warm]
+    fl, paths0, rin, rout = _KERNEL.solve(n, flat, off, xs, ys, forced_mask, active_mask, cap, warm0)
+    paths = tuple(tuple(v + 1 for v in p) for p in paths0)
+    if fl >= cap:
+        return fl, paths, None
+    return fl, paths, frozenset(v + 1 for v in range(n) if rin[v] and not rout[v])
+
+
+_KERNEL = flow.kernel
+
+
+@contextmanager
+def _bounds_checked_kernel():
+    """Route ``flow.kernel.solve`` through a check that every id it gets
+    lies in 0..r-1 (the compiled kernel does not check); yields the list
+    of the r of every call."""
+    sizes = []
+
+    def solve(n, flat, off, xs, ys, forced, active, cap, warm):
+        assert len(off) == n + 1 and off[0] == 0 and off[-1] == len(flat)
+        assert all(off[i] <= off[i + 1] for i in range(n))
+        assert len(forced) == n and len(active) == n
+        for ids in (flat, xs, ys, *warm):
+            assert all(0 <= v < n for v in ids), ids
+        sizes.append(n)
+        return _KERNEL.solve(n, flat, off, xs, ys, forced, active, cap, warm)
+
+    flow.kernel = types.SimpleNamespace(solve=solve)
+    try:
+        yield sizes
+    finally:
+        flow.kernel = _KERNEL
+
+
+@st.composite
+def _region_cases(draw):
+    n = draw(st.integers(1, 20))
+    g = fixtures("GNM", n, draw(st.integers(0, n * (n - 1) // 2)), draw(st.integers(0, 999)))
+    if draw(st.booleans()):
+        g = Graph(n, g.edges(), directed=True)
+    order = draw(st.permutations(range(1, n + 1)))
+    # regions on both sides of the half-graph split, and no region at all
+    size = draw(st.one_of(st.integers(1, max(1, n // 2)), st.integers(n // 2 + 1, n), st.none()))
+    active = None if size is None else frozenset(order[:size])
+    inside = st.sampled_from(order[: size or n])
+    anywhere = st.frozensets(st.integers(1, n), max_size=2)
+    # X and Y mostly inside the region, sometimes partly outside it
+    x = draw(st.frozensets(inside, min_size=1, max_size=4)) | draw(anywhere)
+    y = draw(st.frozensets(inside, min_size=1, max_size=4)) | draw(anywhere)
+    forced = draw(st.frozensets(st.integers(1, n), max_size=n))
+    return g, x, y, forced, active, draw(st.integers(0, 5))
+
+
+def _matches_reference(g, x, y, k, forced, active, warm):
+    """``_run`` and ``leftmost_cut`` against the reference; returns the
+    reference's (flow, paths, cut)."""
+    want = _whole_graph_run(g, x, y, k + 1, forced, active, warm)
+    with _bounds_checked_kernel() as sizes:
+        got = flow._run(g, x, y, k + 1, forced, active, warm)
+        try:
+            outcome = leftmost_cut(g, x, y, k, forced, active, warm)
+        except TooLarge as exc:
+            outcome = exc.witness
+    relabelled = active is not None and 2 * len(active) <= g.n
+    assert sizes == [len(active) if relabelled else g.n] * 2
+    assert got == want
+    if want[0] > k:
+        assert outcome == DisjointPathSet.of(want[1])
+    else:
+        assert outcome == (want[2], want[1])
+    return want
+
+
+@settings(max_examples=300, deadline=None)
+@given(_region_cases(), st.data())
+def test_region_input_matches_whole_graph(case, data):
+    g, x, y, forced, active, k = case
+    fl, paths, cut = _matches_reference(g, x, y, k, forced, active, ())
+    # warm starts: a prefix of the packing; a packing the cold search
+    # would not find (one from a single X vertex); and the enumeration's
+    # step (re-aim at the cut, shrink to the left region, forbid a cut
+    # vertex, warm-start from the packing truncated at the cut)
+    j = data.draw(st.integers(0, len(paths)))
+    _matches_reference(g, x, y, k, forced, active, paths[:j])
+    start = frozenset([data.draw(st.sampled_from(sorted(x)))])
+    single = _whole_graph_run(g, start, y, k + 1, forced, active)[1]
+    _matches_reference(g, x, y, k, forced, active, single)
+    if cut:
+        v = data.draw(st.sampled_from(sorted(cut)))
+        if not (forced | {v}) & x & cut:
+            region = left_region(g, x, cut, active)
+            _matches_reference(g, x, cut, k, forced | {v}, region, truncate_at_cut(paths, cut))
+    with _bounds_checked_kernel():
+        packing = max_disjoint_paths(g, x, y, k + 1, CutConstraints(forced_out=forced))
+    assert packing.paths == _whole_graph_run(g, x, y, k + 1, forced)[1]

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sepkit import decompose
 from sepkit.cli import cli
@@ -45,6 +47,12 @@ class TestParseGraph:
     def test_non_ascii_byte(self):
         with pytest.raises(ParseError):
             parse_graph(b"p tw 3 2\n1 2\n2 \xff\n")
+
+    def test_vertex_count_beyond_the_kernel(self):
+        with pytest.raises(ParseError):
+            parse_graph(b"p tw 99999999999999999999 0\n")
+        with pytest.raises(ParseError):
+            parse_graph(f"p tw {1 << 30} 0\n".encode())
 
     def test_directed(self):
         g, _ = parse_graph(b"p tw 2 1\n2 1\n", directed=True)
@@ -243,3 +251,46 @@ class TestCli:
         td.write_bytes(b"s td 2 2 3\nb 1 1 2\nb 2 3\n1 2\n")
         assert cli(["validate", "--graph", str(g), "--td", str(td)]) == 1
         assert json.loads(capsys.readouterr().out)["status"] == "invalid"
+
+
+# -- fuzzing ------------------------------------------------------------------
+
+# Numbers: mostly small ids (negative ones too); one in six is an int
+# too large for any graph (the last beyond Python's int() digit limit)
+# or not an int at all. Non-ASCII bytes come in through the token soup
+# and st.binary.
+_ODD_NUMBER = st.sampled_from([
+    b"+2", b"07", b"1.5", b"1e3", b"0x10", b"\x00", b"",
+    str(1 << 31).encode(), str(1 << 64).encode(), b"9" * 5000,
+])
+_NUMBER = st.integers(-1, 14).flatmap(
+    lambda i: _ODD_NUMBER if i < 0 else st.integers(-1, 9).map(lambda v: str(v).encode())
+)
+_TOKEN = st.one_of(_NUMBER, st.sampled_from([b"p", b"tw", b"s", b"td", b"b", b"c", b"\xff\xfe"]))
+# Lines shaped like each PACE line kind, then free token soup; the
+# first line is more often a header, so that the body gets parsed too.
+_HEADER = st.one_of(
+    st.tuples(st.just(b"p tw"), _NUMBER, _NUMBER),
+    st.tuples(st.just(b"s td"), _NUMBER, _NUMBER, _NUMBER),
+).map(b" ".join)
+_LINE = st.one_of(
+    _HEADER,
+    st.tuples(st.just(b"b"), *[_NUMBER] * 3).map(b" ".join),
+    st.tuples(_NUMBER, _NUMBER).map(b" ".join),
+    st.lists(_TOKEN, max_size=6).map(b" ".join),
+)
+_FILE = st.tuples(
+    st.lists(_HEADER, max_size=1),
+    st.lists(_LINE, max_size=8),
+    st.sampled_from([b"\n", b"\r\n", b"\r", b"\t\n"]),
+).map(lambda parts: parts[2].join(parts[0] + parts[1]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_FILE, st.binary(max_size=40)), st.booleans())
+def test_parsers_raise_only_parse_error(data, directed):
+    for parse in (lambda: parse_graph(data, directed=directed), lambda: parse_td(data)):
+        try:
+            parse()
+        except ParseError:
+            pass
