@@ -12,12 +12,17 @@ Vertex sets are plain frozensets throughout.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import NotASeparator, PreconditionViolated
 
 VertexSet = frozenset  # vertices of the owning Graph
+
+
+def _sorted_tuples(sets: dict, n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(sorted(sets[v])) if v in sets else () for v in range(n + 1))
 
 
 class Graph:
@@ -30,8 +35,12 @@ class Graph:
             raise ValueError("vertex count must be non-negative")
         self.n = n
         self.directed = directed
-        out: list[set[int]] = [set() for _ in range(n + 1)]
-        rin: list[set[int]] = [set() for _ in range(n + 1)]
+        # Sets only for vertices that an edge touches, so a large header
+        # with few edges costs one shared empty tuple per vertex. An
+        # undirected graph's in-neighbours are its neighbours: the two maps
+        # are one, and so are `adj` and `radj`.
+        out: defaultdict[int, set[int]] = defaultdict(set)
+        rin = defaultdict(set) if directed else out
         for u, v in edges:
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ValueError(f"edge ({u},{v}) out of range 1..{n}")
@@ -39,11 +48,8 @@ class Graph:
                 continue
             out[u].add(v)
             rin[v].add(u)
-            if not directed:
-                out[v].add(u)
-                rin[u].add(v)
-        self.adj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in out)
-        self.radj: tuple[tuple[int, ...], ...] = tuple(tuple(sorted(s)) for s in rin)
+        self.adj: tuple[tuple[int, ...], ...] = _sorted_tuples(out, n)
+        self.radj: tuple[tuple[int, ...], ...] = _sorted_tuples(rin, n) if directed else self.adj
         self._edge_list: tuple[tuple[int, int], ...] | None = None
         self._csr = None
 

@@ -16,8 +16,8 @@ from .graph import Graph, canon
 from .treewidth import TreeDecomposition, validate_td
 
 # The compiled kernel numbers the split nodes 0..2n+1 with C ints. A
-# header declaring more vertices is refused before Graph allocates
-# adjacency for each of them (about 0.5 KB a vertex).
+# header declaring more vertices is refused before Graph allocates its
+# adjacency (a pointer a vertex, even for isolated ones).
 MAX_VERTICES = (1 << 30) - 2
 
 

@@ -5,10 +5,13 @@ largest bag, one more than the classical minus-one convention. In that
 convention the decomposer either returns a valid decomposition of width
 at most 5(k-1), or rejects, certifying that the treewidth exceeds k-1.
 
-The recursion keeps a boundary set W (at most 3k-2 vertices, padded up
-with the lowest free ids). Each step splits the current region with a
-weakly balanced separation of W of size at most k: the bag is W∪S and
-every component recurses with its share of W plus its interface into S.
+The recursion keeps a boundary set W of at most 3k-2 vertices (3 at
+k=2, see `decompose`). Each step splits the current region with a
+separator S of size at most k: the bag is W∪S and every component
+recurses with its share of W plus its interface into S, both taken from
+the same W. A volume split (below) uses W as it came in. Only when the
+step falls back to a weakly balanced separation of W is W first padded
+up to that cap with the region's lowest free ids.
 The separation is searched over the 3^|W| ways to send each W-vertex
 left, into the separator, or right, in a fixed base-3 Gray-code order;
 a rejection exhausts that search, which is what bounds the decomposer
@@ -25,9 +28,13 @@ Periodically, when the region is still large, a split by volume is
 attempted first: representatives of DFS subtrees are partitioned into
 left/right/separator by the same search (cut only on the separator
 size), all leftmost separators of each placement are enumerated, and
-the first one splitting the volume evenly enough is used. Volume splits
-are opportunistic; rejection rests solely on the exhaustion of the
-weakly-balanced search.
+the first one splitting the volume evenly enough is used, provided every
+component's share of the unpadded W plus its interface still fits the
+cap. Such splits shrink the region by a constant factor, which is what
+keeps long thin graphs near n log n; a W padded first would fail that
+check, and the search would peel a few vertices per level instead.
+Volume splits are opportunistic; rejection rests solely on the
+exhaustion of the weakly-balanced search over the padded W.
 
 Directed input graphs are decomposed on their underlying undirected
 graph.
@@ -425,6 +432,11 @@ def decompose(g: Graph, k: int, *, epsilon: float | None = None, volume_splits: 
     every bag fits the 5(k-1)=5 budget; rejections there are still sound
     because only edgeless graphs have bag-size treewidth 1 and those
     always split.
+
+    Each region first tries a volume split with its boundary W unpadded;
+    W is padded to the cap only for the weak-separation search. Either
+    way the bag W∪S and every child's boundary come from the same W, so a
+    bag holds at most cap + k <= 5(k-1) vertices.
     """
     if k < 2:
         raise InvalidBudget("decompose requires k >= 2")
@@ -445,10 +457,6 @@ def decompose(g: Graph, k: int, *, epsilon: float | None = None, volume_splits: 
         """A leaf's node, or a Rejection, or None once the region's split is open."""
         if len(region) <= leafcap:
             return builder.add(region, [])
-        pad = sorted(region - w)
-        need = min(len(region), wcap) - len(w)
-        if need > 0:
-            w = w | frozenset(pad[:need])
         split = None
         if volume_splits and depth % volume_period == 0 and len(region) > 8 * k:
             vol = _split_by_volume(g, region, k, epsilon)
@@ -457,6 +465,9 @@ def decompose(g: Graph, k: int, *, epsilon: float | None = None, volume_splits: 
                 if all(len((w & c) | _interface(g, s, c)) <= wcap for c in comps):
                     split = (s, comps)
         if split is None:
+            need = min(len(region), wcap) - len(w)
+            if need > 0:
+                w = w | frozenset(sorted(region - w)[:need])
             for xs, s, ys in _iter_weak_separations(g, w, k, within=region):
                 comps = tuple(connected_components(g, within=region - s))
                 if all(len((w & c) | _interface(g, s, c)) <= wcap for c in comps):

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sepkit import decompose
@@ -54,9 +55,20 @@ class TestParseGraph:
         with pytest.raises(ParseError):
             parse_graph(f"p tw {1 << 30} 0\n".encode())
 
+    def test_large_header_few_edges(self):
+        tracemalloc.start()
+        try:
+            g, _ = parse_graph(b"p tw 1000000 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert g.n == 1_000_000 and g.adj[5] == () and g.radj is g.adj
+
     def test_directed(self):
         g, _ = parse_graph(b"p tw 2 1\n2 1\n", directed=True)
         assert g.adj[2] == (1,) and g.adj[1] == ()
+        assert g.radj[1] == (2,) and g.radj[2] == () and g.radj is not g.adj
 
 
 class TestGraphRoundTrip:
@@ -288,6 +300,8 @@ _FILE = st.tuples(
 
 @settings(max_examples=500, deadline=None)
 @given(st.one_of(_FILE, st.binary(max_size=40)), st.booleans())
+@example(b"s td 1 1 1\nb 1 1\n0 1\n", False)  # a tree edge naming bag 0
+@example(b"s td 2 2 3\nb 1 1 2\nb 2 2 3\n1 2\n", False)  # 2-vertex bags
 def test_parsers_raise_only_parse_error(data, directed):
     for parse in (lambda: parse_graph(data, directed=directed), lambda: parse_td(data)):
         try:

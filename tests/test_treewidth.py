@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import sys
 from contextlib import contextmanager
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sepkit import Graph, Rejection, TreeDecomposition, decompose, td_width, to_nice, validate_td
+from sepkit import Graph, Rejection, TreeDecomposition, decompose, td_width, to_nice, treewidth, validate_td
 from sepkit.errors import EmptyDecomposition, InvalidBudget, InvalidInput, PreconditionViolated
 from sepkit.oracle import Lcg, bt_leaves, exact_treewidth, fixtures
 from sepkit.treewidth import (
@@ -287,6 +288,50 @@ class TestDecompose:
         assert validate_td(g, td) == []
         assert td_width(td) <= 10
 
+    def test_long_path_decomposes(self):
+        g = fixtures("PATH", 20000)
+        td = decompose(g, 3)
+        assert isinstance(td, TreeDecomposition)
+        assert validate_td(g, td) == []
+        assert td_width(td) <= 10
+
+    @pytest.mark.parametrize("name", ["PATH", "CYCLE", "TREE"])
+    def test_search_volume_is_n_log_n(self, monkeypatch, name):
+        """Volume splits must survive, so the regions searched shrink
+        geometrically: their sizes, summed over every weak-separation search
+        and volume-split attempt, stay within 5 n log2 n. A split that peels
+        a constant number of vertices per level sums to about n^2/4."""
+        searched = []
+        weak, volume = treewidth._iter_weak_separations, treewidth._split_by_volume
+
+        def counted_weak(g, w, k, within):
+            searched.append(len(within))
+            return weak(g, w, k, within)
+
+        def counted_volume(g, region, k, epsilon):
+            searched.append(len(region))
+            return volume(g, region, k, epsilon)
+
+        monkeypatch.setattr(treewidth, "_iter_weak_separations", counted_weak)
+        monkeypatch.setattr(treewidth, "_split_by_volume", counted_volume)
+        for n in (1000, 2000, 4000, 8000):
+            g = fixtures(name, n, 1) if name == "TREE" else fixtures(name, n)
+            searched.clear()
+            td = decompose(g, 3)
+            assert isinstance(td, TreeDecomposition)
+            assert sum(searched) < 5 * n * math.log2(n), (n, sum(searched))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_cycle_width_bound(self, k):
+        """Cycles long enough for volume splits: a bag that mixed a padded W
+        with a volume split would exceed 5(k-1) (a bag of 6 on CYCLE(24), k=2)."""
+        for n in range(17, 41):
+            g = fixtures("CYCLE", n)
+            td = decompose(g, k)
+            assert isinstance(td, TreeDecomposition), n
+            assert validate_td(g, td) == [], n
+            assert td_width(td) <= 5 * (k - 1), n
+
     def test_soundness_on_corpus(self):
         for g in _corpus():
             exact = exact_treewidth(g)
@@ -411,6 +456,51 @@ def test_decompose_agrees_with_exact_treewidth(n, seed, k, data):
     res = decompose(g, k)
     if isinstance(res, Rejection):
         assert exact_treewidth(g) > k - 1
+    else:
+        assert validate_td(g, res) == []
+        assert td_width(res) <= 5 * (k - 1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(17, 18), st.integers(0, 10_000), st.data())
+def test_decompose_with_volume_splits_agrees_with_exact_treewidth(n, seed, data):
+    """n > 8k, so at k=2 the root region tries a volume split; sparse
+    graphs (m <= 2n) are the ones where such a split exists."""
+    m = data.draw(st.integers(0, 2 * n))
+    g = fixtures("GNM", n, m, seed)
+    res = decompose(g, 2)
+    if isinstance(res, Rejection):
+        assert exact_treewidth(g) > 1
+    else:
+        assert validate_td(g, res) == []
+        assert td_width(res) <= 5
+
+
+def _structured(name, n):
+    """A structured fixture of about n vertices and its bag-size treewidth."""
+    if name == "GRID":
+        c = max(1, n // 3)
+        return fixtures("GRID", 3, c), min(3, c) + 1
+    if name == "CYCLE":
+        return fixtures("CYCLE", max(3, n)), 3
+    g = fixtures("TREE", n, n) if name == "TREE" else fixtures(name, n)
+    return g, min(n, 2)
+
+
+def test_structured_treewidth_matches_oracle():
+    for name in ("PATH", "TREE", "CYCLE", "GRID"):
+        for n in range(1, 16):
+            g, known = _structured(name, n)
+            assert exact_treewidth(g) == known, (name, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(["PATH", "TREE", "CYCLE", "GRID"]), st.integers(1, 200), st.integers(2, 5))
+def test_decompose_structured_within_bound(name, n, k):
+    g, known = _structured(name, n)
+    res = decompose(g, k)
+    if isinstance(res, Rejection):
+        assert known > k - 1
     else:
         assert validate_td(g, res) == []
         assert td_width(res) <= 5 * (k - 1)
