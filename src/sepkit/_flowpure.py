@@ -6,25 +6,49 @@ compiled twin in ``_flowcore.pyx`` must produce bit-identical results.
 Model: each vertex v of the input graph becomes an in-node 2v and an
 out-node 2v+1 joined by an internal arc of capacity 1 (unlimited when v
 is forced out of every cut). Every graph arc u->w becomes an unlimited
-arc from out(u) to in(w). A super-source feeds every in-node of X and
-every out-node of Y feeds a super-sink, so cuts may contain vertices of
-X and of Y. Max flow then equals the maximum number of vertex-disjoint
-X->Y paths (disjoint except at forced-out vertices), and the set
-{v : in(v) residual-reachable, out(v) not} is the minimum cut pushed as
-far toward X as possible.
+arc from out(u) to in(w). A super-source 2n feeds every in-node of X and
+every out-node of Y feeds a super-sink 2n+1, so cuts may contain
+vertices of X and of Y. Max flow then equals the maximum number of
+vertex-disjoint X->Y paths (disjoint except at forced-out vertices), and
+the set {v : in(v) residual-reachable, out(v) not} is the minimum cut
+pushed as far toward X as possible. Only active vertices, and the graph
+arcs between them, are in the network.
 
-Determinism: arc lists are built in ascending-vertex order and the
-augmenting DFS scans them in that order, so path sets, residual
-reachability, and the extracted cut are reproducible. From an out-node
-the sink arc (if any) is scanned first, then the internal back-arc,
-then forward arcs by ascending head vertex.
+Representation: the network is never built. The residual state is a
+flow count per arc: per vertex for its internal arc, per X vertex for
+its source arc, per Y vertex for its sink arc and per CSR position for
+its graph arc, plus, per vertex w, the in-arcs of w that carry flow.
+Every unlimited arc keeps a positive residual, so the arcs of a node
+with positive residual follow from these counts:
+
+- src: in(x) for x in ``xs``, in the order given;
+- in(v): out(v) over the internal arc if it is unsaturated, then
+  out(u) over the reverse of every graph arc u->v that carries flow,
+  by ascending CSR position (the reverse source arc leads back to src,
+  which is always visited first);
+- out(v): the sink if v is a Y vertex, then in(v) over the reverse
+  internal arc if flow passes through v, then in(w) over the graph arcs
+  v->w to active heads, in CSR order.
+
+An explicit network lists the arcs of every node in this order when it
+adds, for each active vertex in ascending order, its sink arc and its
+internal arc, then every graph arc in CSR order, then the source arcs,
+each arc followed by its reverse; ``_flowcore`` builds that network.
+So the path sets, residual reachability and the extracted cut are
+those of that network. Residuals change only when an augmenting path
+is applied, which ends the search, so skipping the arcs with zero
+residual leaves the order of the visits unchanged.
 
 All vertex ids in this module are 0-based; callers translate.
 """
 
 from __future__ import annotations
 
-BIG = 1 << 30
+from bisect import insort
+
+# Arc labels on a search path: a graph arc is labelled by its CSR
+# position, an internal arc (either way) by INTERNAL.
+INTERNAL = -1
 
 
 def solve(
@@ -44,150 +68,155 @@ def solve(
     describe the final residual network; they identify the leftmost
     minimum cut only when flow < cap (i.e. augmentation stalled rather
     than hitting the budget).
+
+    Raises ValueError when a warm path steps along an edge that is not
+    in the network. Warm paths are not checked otherwise: each must run
+    from a vertex of ``xs`` to an active vertex of ``ys`` over active
+    vertices.
     """
     src = 2 * n
-    snk = 2 * n + 1
-    nodes = 2 * n + 2
-
-    arc_to: list[int] = []
-    res: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(nodes)]
-
-    def add_arc(a: int, b: int, capacity: int) -> int:
-        i = len(arc_to)
-        arc_to.append(b)
-        res.append(capacity)
-        arc_to.append(a)
-        res.append(0)
-        adj[a].append(i)
-        adj[b].append(i + 1)
-        return i
-
-    internal_arc = [-1] * n
-    sink_arc = [-1] * n
-    src_arc = [-1] * n
-    edge_arc: dict[tuple[int, int], int] = {}
-
-    in_y = bytearray(n)
+    snk = src + 1
+    through = [0] * n  # flow on the internal arc in(v) -> out(v)
+    fed = [0] * n  # flow on the source arc src -> in(x)
+    drained = [0] * n  # flow on the sink arc out(y) -> snk
+    carried = [0] * len(nbr_flat)  # flow on the graph arc of each CSR position
+    inflow: dict[int, list[tuple[int, int]]] = {}  # w -> [(position, tail)] with flow
+    is_y = bytearray(n)
     for y in ys:
-        in_y[y] = 1
-    for v in range(n):
-        if not active[v]:
-            continue
-        if in_y[v]:
-            sink_arc[v] = add_arc(2 * v + 1, snk, BIG)
-        internal_arc[v] = add_arc(2 * v, 2 * v + 1, BIG if forced[v] else 1)
-    for v in range(n):
-        if not active[v]:
-            continue
-        base = nbr_off[v]
-        for j in range(base, nbr_off[v + 1]):
-            w = nbr_flat[j]
-            if active[w]:
-                edge_arc[(v, w)] = add_arc(2 * v + 1, 2 * w, BIG)
-    for x in xs:
-        src_arc[x] = add_arc(src, 2 * x, BIG)
+        if active[y]:
+            is_y[y] = 1
 
-    def push_unit(i: int) -> None:
-        res[i] -= 1
-        res[i ^ 1] += 1
+    def push_edge(j: int, v: int, w: int) -> None:
+        carried[j] += 1
+        if carried[j] == 1:
+            insort(inflow.setdefault(w, []), (j, v))
 
     flow = 0
     for path in warm_paths:
-        push_unit(src_arc[path[0]])
-        for idx, v in enumerate(path):
-            push_unit(internal_arc[v])
-            if idx + 1 < len(path):
-                push_unit(edge_arc[(v, path[idx + 1])])
-        push_unit(sink_arc[path[-1]])
+        fed[path[0]] += 1
+        for v, w in zip(path, path[1:]):
+            through[v] += 1
+            lo, hi = nbr_off[v], nbr_off[v + 1]
+            if not active[w] or w not in nbr_flat[lo:hi]:
+                raise ValueError("warm path uses a missing edge")
+            push_edge(nbr_flat.index(w, lo, hi), v, w)
+        through[path[-1]] += 1
+        drained[path[-1]] += 1
         flow += 1
 
-    # Iterative DFS for one augmenting path; visited is timestamped so
-    # repeated attempts reuse the arrays.
-    visited = [0] * nodes
-    stamp = 0
-    parent_arc = [0] * nodes
+    seen = bytearray(snk + 1)
+    # Per node on the search path: the next arc to scan (-1 for the
+    # internal arc, then a CSR position at an out-node or an index into
+    # ``inflow`` at an in-node), and the arc the path entered it by.
+    cursor = [0] * (snk + 1)
+    via = [0] * (snk + 1)
 
-    def augment() -> bool:
-        nonlocal stamp
-        stamp += 1
-        visited[src] = stamp
-        stack = [(src, 0)]
-        while stack:
-            node, it = stack[-1]
-            arcs = adj[node]
-            advanced = False
-            while it < len(arcs):
-                i = arcs[it]
-                it += 1
-                if res[i] > 0:
-                    b = arc_to[i]
-                    if visited[b] != stamp:
-                        visited[b] = stamp
-                        parent_arc[b] = i
-                        if b == snk:
-                            node2 = snk
-                            while node2 != src:
-                                i2 = parent_arc[node2]
-                                res[i2] -= 1
-                                res[i2 ^ 1] += 1
-                                node2 = arc_to[i2 ^ 1]
-                            return True
-                        stack[-1] = (node, it)
-                        stack.append((b, 0))
-                        advanced = True
-                        break
-            if not advanced:
-                stack.pop()
+    def search(roots: list[int], to_sink: bool) -> bool:
+        """Depth-first search of the residual network from each unseen
+        root in turn, scanning every node's arcs in the network's order.
+        With ``to_sink`` it applies the first path that reaches the sink
+        and returns True. Otherwise, or when no path is found, it marks
+        in ``seen`` every node the roots reach."""
+        for root in roots:
+            if seen[root]:
+                continue
+            seen[root] = 1
+            cursor[root] = -1
+            stack = [root]  # the nodes of the current path from the root
+            while stack:
+                node = stack[-1]
+                c = cursor[node]
+                v = node >> 1
+                head = -1
+                if node & 1:
+                    if c < 0:
+                        c = nbr_off[v]
+                        if through[v] and not seen[node - 1]:
+                            head, arc = node - 1, INTERNAL
+                    if head < 0:
+                        end = nbr_off[v + 1]
+                        while c < end:
+                            w = nbr_flat[c]
+                            c += 1
+                            if active[w] and not seen[2 * w]:
+                                head, arc = 2 * w, c - 1
+                                break
+                else:
+                    if c < 0:
+                        c = 0
+                        if active[v] and (forced[v] or not through[v]) and not seen[node + 1]:
+                            head, arc = node + 1, INTERNAL
+                    if head < 0:
+                        for j, u in inflow.get(v, ())[c:]:
+                            c += 1
+                            if not seen[2 * u + 1]:
+                                head, arc = 2 * u + 1, j
+                                break
+                if head < 0:
+                    stack.pop()
+                    continue
+                cursor[node] = c
+                seen[head] = 1
+                cursor[head] = -1
+                via[head] = arc
+                stack.append(head)
+                if not (head & 1 and is_y[head >> 1]):
+                    continue
+                # The sink arc is the first arc of out(y).
+                seen[snk] = 1
+                if not to_sink:
+                    continue
+                fed[root >> 1] += 1
+                drained[head >> 1] += 1
+                for node, nxt in zip(stack, stack[1:]):
+                    v = node >> 1
+                    arc = via[nxt]
+                    if arc == INTERNAL:
+                        through[v] += -1 if node & 1 else 1
+                    elif node & 1:
+                        push_edge(arc, v, nxt >> 1)
+                    else:
+                        carried[arc] -= 1
+                        if not carried[arc]:
+                            inflow[v].remove((arc, nxt >> 1))
+                return True
         return False
 
-    while flow < cap and augment():
+    in_nodes = [2 * x for x in xs]
+    while flow < cap:
+        seen[:] = bytes(snk + 1)
+        if not search(in_nodes, True):
+            break
         flow += 1
-
-    # Residual reachability from the super-source.
-    reach = bytearray(nodes)
-    reach[src] = 1
-    stack = [src]
-    while stack:
-        node = stack.pop()
-        for i in adj[node]:
-            if res[i] > 0:
-                b = arc_to[i]
-                if not reach[b]:
-                    reach[b] = 1
-                    stack.append(b)
-    reach_in = bytearray(n)
-    reach_out = bytearray(n)
-    for v in range(n):
-        reach_in[v] = reach[2 * v]
-        reach_out[v] = reach[2 * v + 1]
+    if flow >= cap:
+        # The packing hit the budget, so no search has failed on the
+        # final network: mark the residual-reachable nodes anew, across
+        # the sink's reverse arcs too.
+        seen[:] = bytes(snk + 1)
+        search(in_nodes, False)
+        if seen[snk]:
+            search([2 * y + 1 for y in ys if drained[y]], False)
+    reach_in = seen[0:src:2]
+    reach_out = seen[1:src:2]
 
     # Decompose the flow into vertex paths, lowest start / lowest
     # continuation first. Stray circulations (possible after
     # cancellations) are excised so every reported path is simple.
-    remaining = [0] * len(arc_to)
-    for i in range(0, len(arc_to), 2):
-        remaining[i] = res[i ^ 1]
     paths: list[list[int]] = []
     for x in xs:
-        i = src_arc[x]
-        while remaining[i] > 0:
-            remaining[i] -= 1
-            remaining[internal_arc[x]] -= 1
+        while fed[x] > 0:
+            fed[x] -= 1
             path = [x]
             pos = {x: 0}
             v = x
-            while not (sink_arc[v] >= 0 and remaining[sink_arc[v]] > 0):
-                nxt = -1
+            while not drained[v]:
                 for j in range(nbr_off[v], nbr_off[v + 1]):
-                    w = nbr_flat[j]
-                    if active[w] and remaining[edge_arc[(v, w)]] > 0:
-                        nxt = w
-                        remaining[edge_arc[(v, w)]] -= 1
+                    if carried[j]:
                         break
-                if nxt < 0:
+                else:
                     raise AssertionError("flow decomposition stalled")
-                remaining[internal_arc[nxt]] -= 1
+                carried[j] -= 1
+                nxt = nbr_flat[j]
                 if nxt in pos:
                     for u in path[pos[nxt] + 1 :]:
                         del pos[u]
@@ -196,7 +225,7 @@ def solve(
                     pos[nxt] = len(path)
                     path.append(nxt)
                 v = nxt
-            remaining[sink_arc[v]] -= 1
+            drained[v] -= 1
             paths.append(path)
 
     return flow, paths, reach_in, reach_out

@@ -5,9 +5,12 @@ import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sepkit import _flowpure, backend_name, decompose, enumerate_leftmost, flow
-from sepkit.flow import _csr
+from sepkit import DisjointPathSet, Graph, _flowpure, augment_paths, backend_name, decompose
+from sepkit import enumerate_leftmost, flow, max_disjoint_paths
+from sepkit.flow import CutConstraints, _csr, leftmost_cut
 from sepkit.oracle import fixtures, named_separator_corpus, random_separator_corpus
 
 try:
@@ -31,8 +34,29 @@ def _run_all(kernel, inst, trial):
         active[(inst.k * 5 + 2) % n] = 0
     xs = sorted(v - 1 for v in inst.x if active[v - 1])
     ys = sorted(v - 1 for v in inst.y if active[v - 1])
-    flow, paths, rin, rout = kernel.solve(n, flat, off, xs, ys, forced, active, inst.k + 1, [])
+    return _solved(kernel, (n, flat, off, xs, ys, forced, active, inst.k + 1, []))
+
+
+def _solved(kernel, args):
+    flow, paths, rin, rout = kernel.solve(*args)
     return flow, paths, bytes(rin), bytes(rout)
+
+
+def _at_cap_inputs():
+    """Kernel inputs that end with the packing at cap: cap one below the
+    maximum flow, so the sink is still reachable, and a warm packing of
+    exactly cap paths, so no search runs at all."""
+    for inst in random_separator_corpus(60, seed=37) + named_separator_corpus():
+        g = inst.graph()
+        flat, off = _csr(g)
+        n = g.n
+        forced = [0] * n
+        forced[inst.k % n] = 1
+        common = (n, flat, off, sorted(v - 1 for v in inst.x), sorted(v - 1 for v in inst.y), forced, [1] * n)
+        top = _flowpure.solve(*common, n + 1, [])
+        if top[0] >= 1:
+            yield common + (top[0] - 1, [])
+        yield common + (top[0] // 2, top[1][: top[0] // 2])
 
 
 @pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
@@ -41,6 +65,12 @@ def test_backends_bit_identical():
     for inst in insts:
         for trial in range(3):
             assert _run_all(_flowpure, inst, trial) == _run_all(compiled, inst, trial)
+    at_cap = list(_at_cap_inputs())
+    assert sum(1 for args in at_cap if not args[8]) > 100
+    for args in at_cap:
+        a = _solved(_flowpure, args)
+        assert a == _solved(compiled, args)
+        assert a[0] == args[7]
 
 
 @pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
@@ -96,6 +126,73 @@ def test_relabelled_inputs_identical():
         a = _flowpure.solve(*args)
         b = compiled.solve(*args)
         assert (a[0], a[1], bytes(a[2]), bytes(a[3])) == (b[0], b[1], bytes(b[2]), bytes(b[3]))
+
+
+@pytest.mark.parametrize("active, warm", [([1, 1, 1], [0, 2]), ([1, 1, 0], [0, 1, 2])])
+def test_warm_path_over_missing_edge_same_exception(active, warm):
+    """A warm path along a non-edge, or into an inactive vertex, raises
+    the same ValueError on both kernels."""
+    flat, off = _csr(Graph(3, [(1, 2), (2, 3)]))
+    for kernel in (_flowpure, compiled):
+        if kernel is None:
+            continue
+        with pytest.raises(ValueError) as raised:
+            kernel.solve(3, flat, off, [0], [2], [0] * 3, active, 2, [warm])
+        assert type(raised.value) is ValueError
+        assert str(raised.value) == "warm path uses a missing edge"
+
+
+def _outcome(call):
+    """The result of ``call``, or the type, args and witness of what it raised."""
+    try:
+        return "ok", call()
+    except Exception as e:  # whatever one backend raises, the other must raise too
+        return "raised", type(e), e.args, getattr(e, "witness", None)
+
+
+@st.composite
+def _public_calls(draw):
+    """A random graph with X, Y, forced and k; ids up to n+1 (so some
+    calls go out of range), an optional region and an optional warm
+    packing taken from an earlier call."""
+    n = draw(st.integers(1, 12))
+    pairs = st.tuples(st.integers(1, n), st.integers(1, n))
+    g = Graph(n, draw(st.lists(pairs, max_size=3 * n)), directed=draw(st.booleans()))
+    ids = st.integers(0, n + 1) if draw(st.integers(0, 4)) == 0 else st.integers(1, n)
+    x = frozenset(draw(st.lists(ids, min_size=1, max_size=4)))
+    y = frozenset(draw(st.lists(ids, min_size=1, max_size=4)))
+    forced = frozenset(draw(st.lists(ids, max_size=3)))
+    k = draw(st.integers(0, n))
+    active = None
+    if draw(st.booleans()):
+        active = frozenset(draw(st.lists(st.integers(1, n), max_size=n))) | x | y
+    warm = ()
+    if draw(st.booleans()):
+        packed = _outcome(lambda: max_disjoint_paths(g, x, y, n + 1, CutConstraints(forced)))
+        if packed[0] == "ok":
+            warm = packed[1].paths[: draw(st.integers(0, len(packed[1].paths)))]
+    return g, x, y, forced, k, active, warm
+
+
+@pytest.mark.skipif(compiled is None, reason="compiled kernel not built")
+@settings(max_examples=300, deadline=None)
+@given(_public_calls())
+def test_backends_agree_on_public_calls(call):
+    g, x, y, forced, k, active, warm = call
+    calls = (
+        lambda: leftmost_cut(g, x, y, k, forced, active, warm),
+        lambda: max_disjoint_paths(g, x, y, k + 1, CutConstraints(forced)),
+        lambda: augment_paths(g, x, y, DisjointPathSet.of(warm)),
+    )
+    chosen = flow.kernel
+    try:
+        results = []
+        for kernel in (_flowpure, compiled):
+            flow.kernel = kernel
+            results.append([_outcome(c) for c in calls])
+    finally:
+        flow.kernel = chosen
+    assert results[0] == results[1]
 
 
 def test_backend_selection_reports():
